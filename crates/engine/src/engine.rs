@@ -1,32 +1,20 @@
 //! The micro-batching, policy-driven serving loop.
 
+use crate::coordinator::Coordinator;
+use crate::shard::Shard;
 use crate::{Backend, BatchCost, PrecisionPolicy};
 use tia_quant::Precision;
-use tia_tensor::{argmax_rows, KernelMode, SeededRng, Tensor, Workspace};
+use tia_tensor::{KernelMode, Tensor, Workspace};
 
 /// Identifier handed back by [`Engine::submit`]; responses carry it so
 /// callers can re-associate out-of-order completions.
 pub type RequestId = u64;
-
-/// Whether the policy is sampled once per coalesced batch or once per
-/// request (Alg. 1's per-query random switch).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PolicyGranularity {
-    /// One precision draw per served request — the paper's RPS inference.
-    #[default]
-    PerRequest,
-    /// One precision draw per coalesced batch — cheaper switching, the mode
-    /// batch-serving deployments use.
-    PerBatch,
-}
 
 /// Engine tuning knobs.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
     /// Largest coalesced batch the engine will form.
     pub max_batch: usize,
-    /// Per-request vs per-batch precision sampling.
-    pub granularity: PolicyGranularity,
     /// Seed of the engine's private policy RNG; a fixed seed yields a
     /// reproducible precision-switch schedule.
     pub seed: u64,
@@ -48,7 +36,6 @@ impl Default for EngineConfig {
     fn default() -> Self {
         Self {
             max_batch: 32,
-            granularity: PolicyGranularity::PerRequest,
             seed: 0,
             workspace_cap: Workspace::DEFAULT_MAX_POOLED,
             kernel: KernelMode::global_default(),
@@ -60,12 +47,6 @@ impl EngineConfig {
     /// Sets the maximum coalesced batch size (clamped to at least 1).
     pub fn with_max_batch(mut self, max_batch: usize) -> Self {
         self.max_batch = max_batch.max(1);
-        self
-    }
-
-    /// Sets the policy sampling granularity.
-    pub fn with_granularity(mut self, granularity: PolicyGranularity) -> Self {
-        self.granularity = granularity;
         self
     }
 
@@ -132,64 +113,6 @@ impl std::fmt::Display for SubmitError {
 
 impl std::error::Error for SubmitError {}
 
-/// Submit-time precision assignment shared by [`Engine`] and
-/// [`crate::ShardedEngine`] — one definition so the two surfaces can never
-/// diverge on the draw rule: under per-request granularity, draw from the
-/// seeded policy stream now; under per-batch, leave unassigned (the flush
-/// path draws once per coalesced chunk).
-/// `level` and `floor` reach the draw only through
-/// [`PrecisionPolicy::sample_degraded`], which consumes exactly one draw for
-/// every sampling policy at every level — controller shifts can change the
-/// value a draw maps to, never the stream position.
-pub(crate) fn draw_precision(
-    policy: &PrecisionPolicy,
-    rng: &mut SeededRng,
-    granularity: PolicyGranularity,
-    level: u8,
-    floor: Option<Precision>,
-) -> Option<Option<Precision>> {
-    match granularity {
-        PolicyGranularity::PerRequest => Some(policy.sample_degraded(rng, level, floor)),
-        PolicyGranularity::PerBatch => None,
-    }
-}
-
-/// The pinned-submission counterpart of [`draw_precision`]: a pin consumes
-/// no draw, and under per-batch granularity it is ignored entirely.
-pub(crate) fn pin_precision(
-    granularity: PolicyGranularity,
-    precision: Option<Precision>,
-) -> Option<Option<Precision>> {
-    match granularity {
-        PolicyGranularity::PerRequest => Some(precision),
-        PolicyGranularity::PerBatch => None,
-    }
-}
-
-/// Shared submit-time validation: pins the engine's input geometry on first
-/// use, rejects rank/shape mismatches after.
-pub(crate) fn check_image(
-    image_shape: &mut Option<Vec<usize>>,
-    image: &Tensor,
-) -> Result<(), SubmitError> {
-    if image.shape().len() != 3 {
-        return Err(SubmitError::NotAnImage {
-            rank: image.shape().len(),
-        });
-    }
-    match image_shape {
-        Some(shape) if shape.as_slice() != image.shape() => Err(SubmitError::ShapeMismatch {
-            expected: shape.clone(),
-            got: image.shape().to_vec(),
-        }),
-        Some(_) => Ok(()),
-        None => {
-            *image_shape = Some(image.shape().to_vec());
-            Ok(())
-        }
-    }
-}
-
 /// One completed request.
 #[derive(Debug, Clone)]
 pub struct Response {
@@ -203,8 +126,7 @@ pub struct Response {
     pub precision: Option<Precision>,
 }
 
-/// Aggregate serving statistics since construction (or the last
-/// [`Engine::reset_stats`]).
+/// Aggregate serving statistics since construction.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct EngineStats {
     /// Requests completed.
@@ -226,103 +148,38 @@ impl EngineStats {
     }
 }
 
-struct Pending {
-    id: RequestId,
-    // Assigned at submit time under per-request granularity so the schedule
-    // depends only on the seed and submission order, not on flush timing.
-    precision: Option<Option<Precision>>,
-    image: Tensor,
-}
-
-/// Groups requests by assigned precision — stable, first-seen order — so
-/// per-request precision switching still serves full micro-batches.
-///
-/// This is *the* grouping: the single-threaded engine and every shard of
-/// the sharded runtime must batch identically (same groups ⇒ same chunks ⇒
-/// same per-batch execution), so both call this one function. Changing the
-/// grouping in one path but not the other would silently break the sharded
-/// determinism contract.
-pub(crate) fn group_by_precision<T>(
-    items: &[T],
-    precision_of: impl Fn(&T) -> Option<Precision>,
-) -> Vec<(Option<Precision>, Vec<&T>)> {
-    let mut groups: Vec<(Option<Precision>, Vec<&T>)> = Vec::new();
-    for item in items {
-        let p = precision_of(item);
-        match groups.iter_mut().find(|(gp, _)| *gp == p) {
-            Some((_, members)) => members.push(item),
-            None => groups.push((p, vec![item])),
-        }
-    }
-    groups
-}
-
 /// A micro-batching inference server over any [`Backend`].
 ///
-/// Requests are single images (`[C, H, W]`); the engine coalesces them into
-/// batches of at most `max_batch`, samples the [`PrecisionPolicy`] at the
-/// configured granularity, executes each batch through the backend, and
-/// returns per-request [`Response`]s in submission order.
+/// Requests are single images (`[C, H, W]`); the engine draws each one's
+/// precision from the [`PrecisionPolicy`] at submit time, coalesces
+/// equal-precision requests into batches of at most `max_batch`, executes
+/// each batch through the backend, and returns per-request [`Response`]s
+/// in submission order.
 ///
 /// Determinism: the layer stack is batch-size-invariant in eval mode (all
 /// quantization calibrates per sample), so engine logits are bitwise
 /// identical to per-sample `Network::forward` at every precision, and the
 /// precision schedule is a pure function of the config seed and the
-/// submission order.
+/// submission order. [`crate::ShardedEngine`] is the same coordinator over
+/// worker threads, so the two agree on schedule, logits and ledger.
 pub struct Engine<B: Backend> {
-    backend: B,
-    policy: PrecisionPolicy,
-    cfg: EngineConfig,
-    rng: SeededRng,
-    // Live degradation level applied to Adaptive policy draws; 0 = the
-    // full set. Set by the serving layer's feedback controller.
-    degrade: u8,
-    pending: Vec<Pending>,
-    next_id: RequestId,
-    stats: EngineStats,
-    // Fixed by the first submit; mixed shapes would otherwise be coalesced
-    // into one batch tensor and silently misinterpreted.
-    image_shape: Option<Vec<usize>>,
-    // Scratch arena backing batch-tensor assembly and submitted-image
-    // staging; request images return here after each flush.
-    ws: Workspace,
+    core: Coordinator,
+    shard: Shard<B>,
 }
 
 impl<B: Backend> Engine<B> {
     /// Creates an engine serving `backend` under `policy`.
-    pub fn new(mut backend: B, policy: PrecisionPolicy, cfg: EngineConfig) -> Self {
-        let rng = SeededRng::new(cfg.seed);
-        let ws = Workspace::with_max_pooled(cfg.workspace_cap);
-        backend.set_kernel(cfg.kernel);
+    pub fn new(backend: B, policy: PrecisionPolicy, cfg: EngineConfig) -> Self {
         Self {
-            backend,
-            policy,
-            cfg,
-            rng,
-            degrade: 0,
-            pending: Vec::new(),
-            next_id: 0,
-            stats: EngineStats::default(),
-            image_shape: None,
-            ws,
+            core: Coordinator::new(policy, cfg.seed),
+            shard: Shard::new(backend, &cfg),
         }
-    }
-
-    /// The active policy.
-    pub fn policy(&self) -> &PrecisionPolicy {
-        &self.policy
-    }
-
-    /// Replaces the policy (takes effect for requests not yet assigned a
-    /// precision).
-    pub fn set_policy(&mut self, policy: PrecisionPolicy) {
-        self.policy = policy;
     }
 
     /// The live degradation level applied to [`PrecisionPolicy::Adaptive`]
     /// draws (0 = the full set).
     pub fn degrade_level(&self) -> u8 {
-        self.degrade
+        self.core.degrade_level()
     }
 
     /// Sets the degradation level for subsequent policy draws, clamped to
@@ -330,36 +187,25 @@ impl<B: Backend> Engine<B> {
     /// never shift the seeded stream position (every draw costs one step at
     /// any level), so the schedule stays a pure function of the seed, the
     /// submission order and the level sequence. Non-adaptive policies
-    /// ignore the level; under [`PolicyGranularity::PerBatch`] it applies
-    /// to the per-chunk draws at flush time.
+    /// ignore the level.
     pub fn set_degrade_level(&mut self, level: u8) {
-        self.degrade = level.min(self.policy.max_degrade_level());
+        self.core.set_degrade_level(level);
     }
 
-    /// Aggregate serving statistics.
+    /// Aggregate serving statistics since construction.
     pub fn stats(&self) -> EngineStats {
-        self.stats
-    }
-
-    /// Clears the serving statistics.
-    pub fn reset_stats(&mut self) {
-        self.stats = EngineStats::default();
+        self.core.stats
     }
 
     /// Number of submitted-but-unserved requests.
     pub fn pending(&self) -> usize {
-        self.pending.len()
+        self.core.pending()
     }
 
     /// Borrows the backend (e.g. so an attack can craft inputs against the
     /// exact model being served).
     pub fn backend_mut(&mut self) -> &mut B {
-        &mut self.backend
-    }
-
-    /// Unwraps into the backend.
-    pub fn into_backend(self) -> B {
-        self.backend
+        &mut self.shard.backend
     }
 
     /// Enqueues one `[C, H, W]` image; returns its request id.
@@ -370,18 +216,15 @@ impl<B: Backend> Engine<B> {
     /// submitted image (one engine serves one input geometry). Fallible
     /// callers (network front-ends) use [`Engine::try_submit`] instead.
     pub fn submit(&mut self, image: Tensor) -> RequestId {
-        match self.try_submit(image) {
-            Ok(id) => id,
-            Err(e) => panic!("Engine::submit: {e}"),
-        }
+        self.core.submit(image)
     }
 
     /// Fallible [`Engine::submit`]: rejects non-image and geometry-changing
     /// tensors with a [`SubmitError`] instead of panicking. The precision
-    /// draw (under per-request granularity) happens only on acceptance, so
-    /// rejected submissions never perturb the seeded schedule.
+    /// draw happens only on acceptance, so rejected submissions never
+    /// perturb the seeded schedule.
     pub fn try_submit(&mut self, image: Tensor) -> Result<RequestId, SubmitError> {
-        self.try_submit_floored(image, None)
+        self.core.submit_floored(image, None)
     }
 
     /// Like [`Engine::try_submit`], but bounds the policy draw below by a
@@ -395,43 +238,20 @@ impl<B: Backend> Engine<B> {
         image: Tensor,
         floor: Option<Precision>,
     ) -> Result<RequestId, SubmitError> {
-        check_image(&mut self.image_shape, &image)?;
-        let precision = draw_precision(
-            &self.policy,
-            &mut self.rng,
-            self.cfg.granularity,
-            self.degrade,
-            floor,
-        );
-        Ok(self.enqueue(image, precision))
+        self.core.submit_floored(image, floor)
     }
 
     /// Like [`Engine::try_submit`], but pins the request to an explicit
     /// precision (`None` = full precision) instead of drawing from the
-    /// policy. Pinned requests consume no draw from the seeded schedule.
-    ///
-    /// Only meaningful under [`PolicyGranularity::PerRequest`]; under
-    /// `PerBatch` the pin is ignored (the whole batch draws one precision at
-    /// flush time).
+    /// policy. Pinned requests consume no draw from the seeded schedule, so
+    /// a stream mixing policy and pinned submissions is still a pure
+    /// function of the seed and the submission sequence.
     pub fn try_submit_pinned(
         &mut self,
         image: Tensor,
         precision: Option<Precision>,
     ) -> Result<RequestId, SubmitError> {
-        check_image(&mut self.image_shape, &image)?;
-        let pinned = pin_precision(self.cfg.granularity, precision);
-        Ok(self.enqueue(image, pinned))
-    }
-
-    fn enqueue(&mut self, image: Tensor, precision: Option<Option<Precision>>) -> RequestId {
-        let id = self.next_id;
-        self.next_id += 1;
-        self.pending.push(Pending {
-            id,
-            precision,
-            image,
-        });
-        id
+        self.core.submit_pinned(image, precision)
     }
 
     /// Serves every pending request and returns responses sorted by request
@@ -439,41 +259,8 @@ impl<B: Backend> Engine<B> {
     /// restored afterwards, and the request images' storage returns to the
     /// engine's arena for the next burst.
     pub fn flush(&mut self) -> Vec<Response> {
-        let saved = self.backend.precision();
-        let mut pending = std::mem::take(&mut self.pending);
-        let mut responses = Vec::with_capacity(pending.len());
-        match self.cfg.granularity {
-            PolicyGranularity::PerBatch => {
-                for chunk in pending.chunks(self.cfg.max_batch) {
-                    // Per-batch draws happen at flush, so degradation (with
-                    // no per-request floor) applies here instead.
-                    let p = self
-                        .policy
-                        .sample_degraded(&mut self.rng, self.degrade, None);
-                    let refs: Vec<&Pending> = chunk.iter().collect();
-                    self.run_chunk(&refs, p, &mut responses);
-                }
-            }
-            PolicyGranularity::PerRequest => {
-                let groups = group_by_precision(&pending, |req: &Pending| {
-                    req.precision
-                        .expect("per-request precision assigned at submit")
-                });
-                for (p, members) in groups {
-                    for chunk in members.chunks(self.cfg.max_batch) {
-                        self.run_chunk(chunk, p, &mut responses);
-                    }
-                }
-            }
-        }
-        self.backend.set_precision(saved);
-        // Reclaim the served images and the queue's own capacity.
-        for req in pending.drain(..) {
-            self.ws.recycle_tensor(req.image);
-        }
-        self.pending = pending;
-        responses.sort_by_key(|r| r.id);
-        responses
+        let shard = &mut self.shard;
+        self.core.flush(|pending| shard.run(pending))
     }
 
     /// Convenience: submits every row of an `[N, C, H, W]` batch and
@@ -483,47 +270,13 @@ impl<B: Backend> Engine<B> {
         let (n, s) = (x.shape()[0], x.shape());
         let (img_shape, chw) = ([s[1], s[2], s[3]], s[1] * s[2] * s[3]);
         for i in 0..n {
-            let mut img = self.ws.tensor_spare(&img_shape);
+            let mut img = self.shard.ws.tensor_spare(&img_shape);
             img.data_mut()
                 .copy_from_slice(&x.data()[i * chw..(i + 1) * chw]);
             self.submit(img);
         }
         self.flush()
     }
-
-    // tia-lint: hot-path(begin)
-    fn run_chunk(&mut self, chunk: &[&Pending], p: Option<Precision>, out: &mut Vec<Response>) {
-        if chunk.is_empty() {
-            return;
-        }
-        // One copy per image — straight into an arena-backed batch tensor
-        // (submit pins images to rank 3, so the batch is always rank 4).
-        let s = chunk[0].image.shape();
-        let shape = [chunk.len(), s[0], s[1], s[2]];
-        let mut x = self.ws.tensor_spare(&shape);
-        for (i, r) in chunk.iter().enumerate() {
-            x.set_axis0(i, &r.image);
-        }
-        let logits = self.backend.infer_batch(&x, p);
-        self.ws.recycle_tensor(x);
-        let top1 = argmax_rows(&logits);
-        self.stats.requests += chunk.len();
-        self.stats.batches += 1;
-        let cost = self.backend.cost(chunk.len(), p);
-        self.stats.cost.accumulate(&cost);
-        for (i, req) in chunk.iter().enumerate() {
-            out.push(Response {
-                id: req.id,
-                logits: logits.index_axis0(i),
-                top1: top1[i],
-                precision: p,
-            });
-        }
-        // The batch logits have been split into per-request responses; the
-        // backing storage goes back to the backend's arena.
-        self.backend.recycle_output(logits);
-    }
-    // tia-lint: hot-path(end)
 }
 
 #[cfg(test)]
@@ -531,6 +284,7 @@ mod tests {
     use super::*;
     use tia_nn::zoo;
     use tia_quant::PrecisionSet;
+    use tia_tensor::SeededRng;
 
     fn engine_with(policy: PrecisionPolicy, cfg: EngineConfig) -> Engine<tia_nn::Network> {
         let mut rng = SeededRng::new(1);
@@ -541,19 +295,6 @@ mod tests {
     fn images(n: usize, seed: u64) -> Tensor {
         let mut rng = SeededRng::new(seed);
         Tensor::rand_uniform(&[n, 3, 8, 8], 0.0, 1.0, &mut rng)
-    }
-
-    #[test]
-    fn responses_come_back_in_submission_order() {
-        let mut eng = engine_with(
-            PrecisionPolicy::Random(PrecisionSet::range(4, 8)),
-            EngineConfig::default().with_max_batch(4),
-        );
-        let x = images(10, 2);
-        let ids: Vec<RequestId> = (0..10).map(|i| eng.submit(x.index_axis0(i))).collect();
-        let resp = eng.flush();
-        assert_eq!(resp.len(), 10);
-        assert_eq!(resp.iter().map(|r| r.id).collect::<Vec<_>>(), ids);
     }
 
     #[test]
@@ -585,34 +326,6 @@ mod tests {
             base, other,
             "different seeds should give different schedules"
         );
-    }
-
-    #[test]
-    fn per_batch_granularity_shares_precision_within_chunk() {
-        let mut eng = engine_with(
-            PrecisionPolicy::Random(PrecisionSet::range(4, 8)),
-            EngineConfig::default()
-                .with_max_batch(4)
-                .with_granularity(PolicyGranularity::PerBatch),
-        );
-        let resp = eng.serve(&images(8, 5));
-        assert_eq!(
-            resp[..4]
-                .iter()
-                .map(|r| r.precision)
-                .collect::<std::collections::HashSet<_>>()
-                .len(),
-            1
-        );
-        assert_eq!(
-            resp[4..]
-                .iter()
-                .map(|r| r.precision)
-                .collect::<std::collections::HashSet<_>>()
-                .len(),
-            1
-        );
-        assert_eq!(eng.stats().batches, 2);
     }
 
     #[test]
@@ -745,7 +458,7 @@ mod tests {
         // Serve a burst larger than the cap: the engine recycles every
         // request image, but the arena must stay bounded at the cap.
         let _ = eng.serve(&images(6, 11));
-        assert!(eng.ws.pooled() <= 2);
+        assert!(eng.shard.ws.pooled() <= 2);
     }
 
     #[test]

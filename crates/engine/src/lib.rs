@@ -15,17 +15,16 @@
 //!   batch through [`tia_sim::Accelerator`] to report cycles/energy/FPS
 //!   alongside logits.
 //! * [`PrecisionPolicy`] — fixed or RPS precision selection (absorbing the
-//!   old `InferencePolicy` of `tia-core`), sampled per request or per batch
-//!   ([`PolicyGranularity`]).
+//!   old `InferencePolicy` of `tia-core`), sampled once per request.
 //! * [`Engine`] — a micro-batching request queue: submit single-image
-//!   requests, the engine coalesces them into batches of at most
-//!   `max_batch`, samples the policy, and returns responses in submission
-//!   order with seeded-deterministic precision schedules.
-//! * [`ShardedEngine`] — the multi-threaded runtime: N worker shards
-//!   (plain `std::thread`), each with its own backend replica and seeded
-//!   RNG stream, behind the same submit/flush/serve surface. Under
-//!   per-request granularity, results — logits, precision schedule and the
-//!   merged cost ledger — are identical for *any* worker count (see the
+//!   requests, the engine samples the policy at submit time, coalesces
+//!   equal-precision requests into batches of at most `max_batch`, and
+//!   returns responses in submission order with seeded-deterministic
+//!   precision schedules.
+//! * [`ShardedEngine`] — the same coordinator over N worker shards (plain
+//!   `std::thread`), each with its own backend replica. Results — logits,
+//!   precision schedule and the cost ledger — are identical for *any*
+//!   worker count and to [`Engine`] (see the
 //!   [`sharded`](crate::ShardedEngine) determinism contract).
 //!
 //! Because every layer calibrates its quantizers per sample (and the tiled
@@ -61,17 +60,17 @@
 #![deny(missing_docs)]
 
 mod backend;
+mod coordinator;
 mod cost;
 mod engine;
 mod policy;
+mod shard;
 mod sharded;
 mod sim_backed;
 
 pub use backend::{Backend, LossKind};
 pub use cost::BatchCost;
-pub use engine::{
-    Engine, EngineConfig, EngineStats, PolicyGranularity, RequestId, Response, SubmitError,
-};
+pub use engine::{Engine, EngineConfig, EngineStats, RequestId, Response, SubmitError};
 pub use policy::PrecisionPolicy;
 pub use sharded::ShardedEngine;
 pub use sim_backed::SimBacked;

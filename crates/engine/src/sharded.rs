@@ -1,71 +1,40 @@
 //! The sharded, multi-threaded serving runtime.
 //!
-//! [`ShardedEngine`] scales the micro-batching [`crate::Engine`] across N
-//! worker *shards*: plain `std::thread` workers, each owning its own
-//! [`Backend`] replica and its own seeded RNG stream. The coordinator
-//! assigns every request a shard and (under per-request granularity) a
-//! precision at submit time, so the entire schedule is a pure function of
-//! the config seed and the submission order — thread interleaving can
-//! change *when* a shard runs, never *what* it computes.
+//! [`ShardedEngine`] is the coordinator of [`crate::Engine`] over N worker
+//! *shards*: plain `std::thread` workers, each owning its own [`Backend`]
+//! replica and workspace arena. The coordinator assigns every request a
+//! shard and a precision at submit time, so the entire schedule is a pure
+//! function of the config seed and the submission order — thread
+//! interleaving can change *when* a shard runs, never *what* it computes.
 //!
 //! # Determinism contract
 //!
-//! Under [`PolicyGranularity::PerRequest`] (the default, the paper's RPS
-//! inference) serving is reproducible across **worker counts**: the same
-//! seed and the same submission sequence yield bitwise-identical logits,
-//! the identical precision schedule, and the identical merged cost ledger
-//! for 1, 2 or 8 workers. Three properties make this hold:
+//! Serving is reproducible across **worker counts**: the same seed and the
+//! same submission sequence yield bitwise-identical logits, the identical
+//! precision schedule, and the identical merged cost ledger for 1, 2 or 8
+//! workers — and for a single-threaded [`crate::Engine`]. Three properties
+//! make this hold:
 //!
 //! 1. precisions are drawn from the coordinator's RNG at submit time, in
-//!    submission order — the same stream a single-threaded [`crate::Engine`]
-//!    with the same seed would draw;
+//!    submission order — the same coordinator a single-threaded
+//!    [`crate::Engine`] uses;
 //! 2. the layer stack (and the tiled GEMM underneath it) is batch-size
 //!    invariant, so how a shard groups its requests into micro-batches
 //!    cannot change any logit bit;
-//! 3. the merged ledger accumulates per-request unit costs in request-id
-//!    order at flush time, not in shard completion order.
-//!
-//! Under [`PolicyGranularity::PerBatch`] each shard draws from its own
-//! seeded stream, so a run is reproducible for a *fixed* worker count
-//! (regardless of thread interleaving) but batch composition — and hence
-//! the schedule — legitimately changes with the shard count.
+//! 3. the ledger accumulates per-request unit costs in request-id order at
+//!    flush time, not in shard completion order.
 
+use crate::coordinator::Coordinator;
+use crate::shard::{Request, Shard, ShardReply};
 use crate::{
-    Backend, BatchCost, EngineConfig, EngineStats, PolicyGranularity, PrecisionPolicy, RequestId,
-    Response, SubmitError,
+    Backend, EngineConfig, EngineStats, PrecisionPolicy, RequestId, Response, SubmitError,
 };
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::thread::JoinHandle;
 use tia_quant::Precision;
-use tia_tensor::{argmax_rows, SeededRng, Tensor, Workspace};
+use tia_tensor::Tensor;
 
-/// A request as handed to a shard: id, centrally assigned precision (under
-/// per-request granularity) and the image.
-struct ShardRequest {
-    id: RequestId,
-    /// `Some(p)` = assigned by the coordinator at submit; `None` = the shard
-    /// samples per batch from its own stream.
-    precision: Option<Option<Precision>>,
-    image: Tensor,
-}
-
-/// One completed request plus its per-frame cost, as reported by a shard.
-struct ShardResponse {
-    id: RequestId,
-    logits: Tensor,
-    top1: usize,
-    precision: Option<Precision>,
-    unit_cost: BatchCost,
-}
-
-/// A shard's answer to one flush: its responses and how many micro-batches
-/// it executed.
-struct ShardReply {
-    responses: Vec<ShardResponse>,
-    batches: usize,
-}
-
-type Job = Vec<ShardRequest>;
+type Job = Vec<Request>;
 
 /// A sharded, multi-threaded inference server over any [`Backend`].
 ///
@@ -104,21 +73,7 @@ type Job = Vec<ShardRequest>;
 /// let _replicas = engine.shutdown();
 /// ```
 pub struct ShardedEngine<B: Backend + Send + 'static> {
-    policy: PrecisionPolicy,
-    cfg: EngineConfig,
-    /// The coordinator's policy stream (per-request assignment).
-    rng: SeededRng,
-    /// Live degradation level for Adaptive policy draws (0 = full set).
-    /// Applies to coordinator submit-time draws; per-batch shard draws
-    /// ignore it (shards cannot see level changes deterministically).
-    degrade: u8,
-    pending: Vec<ShardRequest>,
-    next_id: RequestId,
-    stats: EngineStats,
-    /// Completed non-empty flush cycles; tags the flight recorder's
-    /// per-cycle engine spans.
-    cycles: u64,
-    image_shape: Option<Vec<usize>>,
+    core: Coordinator,
     senders: Vec<Sender<Job>>,
     results_rx: Receiver<ShardReply>,
     handles: Vec<JoinHandle<B>>,
@@ -138,32 +93,24 @@ impl<B: Backend + Send + 'static> ShardedEngine<B> {
         let (results_tx, results_rx) = channel();
         let mut senders = Vec::with_capacity(replicas.len());
         let mut handles = Vec::with_capacity(replicas.len());
-        for (shard, backend) in replicas.into_iter().enumerate() {
-            let (tx, rx) = channel::<Job>();
+        for backend in replicas {
+            let (tx, jobs) = channel::<Job>();
             let results = results_tx.clone();
-            let worker_policy = policy.clone();
-            // Each shard gets its own decorrelated stream: golden-ratio
-            // stepping of the base seed, the same trick SplitMix64 uses.
-            let rng = SeededRng::new(
-                cfg.seed
-                    .wrapping_add(0x9E37_79B9_7F4A_7C15u64.wrapping_mul(shard as u64 + 1)),
-            );
-            let worker_cfg = cfg.clone();
+            let mut shard = Shard::new(backend, &cfg);
+            // Receive request lists until the coordinator hangs up, then
+            // hand the replica back for `shutdown`.
             handles.push(std::thread::spawn(move || {
-                worker_loop(backend, worker_policy, rng, worker_cfg, rx, results)
+                while let Ok(mut job) = jobs.recv() {
+                    if results.send(shard.run(&mut job)).is_err() {
+                        break; // Coordinator dropped mid-flush; shut down.
+                    }
+                }
+                shard.backend
             }));
             senders.push(tx);
         }
         Self {
-            policy,
-            rng: SeededRng::new(cfg.seed),
-            cfg,
-            degrade: 0,
-            pending: Vec::new(),
-            next_id: 0,
-            stats: EngineStats::default(),
-            cycles: 0,
-            image_shape: None,
+            core: Coordinator::new(policy, cfg.seed),
             senders,
             results_rx,
             handles,
@@ -188,127 +135,67 @@ impl<B: Backend + Send + 'static> ShardedEngine<B> {
         self.senders.len()
     }
 
-    /// The active policy.
-    pub fn policy(&self) -> &PrecisionPolicy {
-        &self.policy
-    }
-
-    /// The live degradation level applied to [`PrecisionPolicy::Adaptive`]
-    /// draws (0 = the full set).
+    /// See [`crate::Engine::degrade_level`].
     pub fn degrade_level(&self) -> u8 {
-        self.degrade
+        self.core.degrade_level()
     }
 
-    /// Sets the degradation level for subsequent coordinator draws,
-    /// clamped to the policy's [`PrecisionPolicy::max_degrade_level`].
-    /// Level changes never shift the coordinator's stream position (every
-    /// draw costs one step at any level), so the sharded determinism
-    /// contract — same seed, same submission order, same level sequence ⇒
-    /// same schedule at any worker count — is preserved.
+    /// See [`crate::Engine::set_degrade_level`]: the same seed, submission
+    /// order and level sequence give the same schedule at any worker count.
     pub fn set_degrade_level(&mut self, level: u8) {
-        self.degrade = level.min(self.policy.max_degrade_level());
+        self.core.set_degrade_level(level);
     }
 
     /// Merged serving statistics across all shards (cost accumulated in
-    /// request-id order, so totals are identical for any worker count under
-    /// per-request granularity).
+    /// request-id order, so totals are identical for any worker count).
     pub fn stats(&self) -> EngineStats {
-        self.stats
-    }
-
-    /// Clears the merged serving statistics.
-    pub fn reset_stats(&mut self) {
-        self.stats = EngineStats::default();
+        self.core.stats
     }
 
     /// Number of submitted-but-unserved requests.
     pub fn pending(&self) -> usize {
-        self.pending.len()
+        self.core.pending()
     }
 
     /// Number of completed non-empty [`ShardedEngine::flush`] cycles
-    /// (monotonic; survives [`ShardedEngine::reset_stats`]). The serving
-    /// layer's flight recorder uses it to label per-cycle engine spans.
+    /// (monotonic). The serving layer's flight recorder uses it to label
+    /// per-cycle engine spans.
     pub fn cycles(&self) -> u64 {
-        self.cycles
+        self.core.cycles
     }
 
-    /// Enqueues one `[C, H, W]` image; returns its request id.
-    ///
-    /// Under per-request granularity the precision is drawn here, from the
-    /// coordinator's stream — the schedule is fixed at submit time.
+    /// See [`crate::Engine::submit`].
     ///
     /// # Panics
     ///
     /// Panics if `image` is not 3-D, or if its shape differs from the first
-    /// submitted image (one engine serves one input geometry). Fallible
-    /// callers (network front-ends) use [`ShardedEngine::try_submit`].
+    /// submitted image. Fallible callers (network front-ends) use
+    /// [`ShardedEngine::try_submit`].
     pub fn submit(&mut self, image: Tensor) -> RequestId {
-        match self.try_submit(image) {
-            Ok(id) => id,
-            Err(e) => panic!("ShardedEngine::submit: {e}"),
-        }
+        self.core.submit(image)
     }
 
-    /// Fallible [`ShardedEngine::submit`]: rejects non-image and
-    /// geometry-changing tensors with a [`SubmitError`] instead of
-    /// panicking. The precision draw (under per-request granularity)
-    /// happens only on acceptance, so rejected submissions never perturb
-    /// the seeded schedule.
+    /// See [`crate::Engine::try_submit`].
     pub fn try_submit(&mut self, image: Tensor) -> Result<RequestId, SubmitError> {
-        self.try_submit_floored(image, None)
+        self.core.submit_floored(image, None)
     }
 
-    /// Like [`ShardedEngine::try_submit`], but bounds the policy draw
-    /// below by a per-request precision `floor` (an SLO guarantee: the
-    /// request never serves below it, however degraded the engine is).
-    /// Only [`PrecisionPolicy::Adaptive`] honors floors; other policies
-    /// draw as usual. The floored draw costs exactly one stream step, the
-    /// same as an unfloored one.
+    /// See [`crate::Engine::try_submit_floored`].
     pub fn try_submit_floored(
         &mut self,
         image: Tensor,
         floor: Option<Precision>,
     ) -> Result<RequestId, SubmitError> {
-        crate::engine::check_image(&mut self.image_shape, &image)?;
-        let precision = crate::engine::draw_precision(
-            &self.policy,
-            &mut self.rng,
-            self.cfg.granularity,
-            self.degrade,
-            floor,
-        );
-        Ok(self.enqueue(image, precision))
+        self.core.submit_floored(image, floor)
     }
 
-    /// Like [`ShardedEngine::try_submit`], but pins the request to an
-    /// explicit precision (`None` = full precision) instead of drawing from
-    /// the policy. Pinned requests consume no draw from the seeded
-    /// schedule, so a stream mixing policy and pinned submissions is still
-    /// a pure function of the seed and the submission sequence.
-    ///
-    /// Only meaningful under [`PolicyGranularity::PerRequest`]; under
-    /// `PerBatch` the pin is ignored (each shard draws one precision per
-    /// coalesced batch at flush time).
+    /// See [`crate::Engine::try_submit_pinned`].
     pub fn try_submit_pinned(
         &mut self,
         image: Tensor,
         precision: Option<Precision>,
     ) -> Result<RequestId, SubmitError> {
-        crate::engine::check_image(&mut self.image_shape, &image)?;
-        let pinned = crate::engine::pin_precision(self.cfg.granularity, precision);
-        Ok(self.enqueue(image, pinned))
-    }
-
-    fn enqueue(&mut self, image: Tensor, precision: Option<Option<Precision>>) -> RequestId {
-        let id = self.next_id;
-        self.next_id += 1;
-        self.pending.push(ShardRequest {
-            id,
-            precision,
-            image,
-        });
-        id
+        self.core.submit_pinned(image, precision)
     }
 
     /// Serves every pending request across the shards and returns responses
@@ -318,52 +205,33 @@ impl<B: Backend + Send + 'static> ShardedEngine<B> {
     ///
     /// Panics if a worker thread has died (a backend panicked mid-batch).
     pub fn flush(&mut self) -> Vec<Response> {
-        let pending = std::mem::take(&mut self.pending);
-        let total = pending.len();
-        if total == 0 {
-            return Vec::new();
-        }
-        let workers = self.senders.len();
-        let mut per_shard: Vec<Job> = (0..workers).map(|_| Vec::new()).collect();
-        for req in pending {
-            per_shard[(req.id % workers as u64) as usize].push(req);
-        }
-        let mut outstanding = 0;
-        for (shard, job) in per_shard.into_iter().enumerate() {
-            if job.is_empty() {
-                continue;
+        let (senders, results) = (&self.senders, &self.results_rx);
+        self.core.flush(|pending| {
+            let workers = senders.len();
+            let mut per_shard: Vec<Job> = (0..workers).map(|_| Vec::new()).collect();
+            let mut merged = ShardReply {
+                responses: Vec::with_capacity(pending.len()),
+                batches: 0,
+            };
+            for req in pending.drain(..) {
+                per_shard[(req.id % workers as u64) as usize].push(req);
             }
-            self.senders[shard]
-                .send(job)
-                .expect("sharded engine worker thread died");
-            outstanding += 1;
-        }
-        let mut all: Vec<ShardResponse> = Vec::with_capacity(total);
-        for _ in 0..outstanding {
-            let reply = self
-                .results_rx
-                .recv()
-                .expect("sharded engine worker thread died");
-            self.stats.batches += reply.batches;
-            all.extend(reply.responses);
-        }
-        // Merge in submission order: response order and the ledger's
-        // floating-point accumulation order are both independent of which
-        // shard finished first.
-        all.sort_by_key(|r| r.id);
-        self.cycles += 1;
-        self.stats.requests += total;
-        for r in &all {
-            self.stats.cost.accumulate(&r.unit_cost);
-        }
-        all.into_iter()
-            .map(|r| Response {
-                id: r.id,
-                logits: r.logits,
-                top1: r.top1,
-                precision: r.precision,
-            })
-            .collect()
+            let mut outstanding = 0;
+            for (tx, job) in senders.iter().zip(per_shard) {
+                if !job.is_empty() {
+                    // tia-lint: allow(panic-freedom, a dead worker means its backend panicked; propagate it)
+                    tx.send(job).expect("sharded engine worker thread died");
+                    outstanding += 1;
+                }
+            }
+            for _ in 0..outstanding {
+                // tia-lint: allow(panic-freedom, a dead worker means its backend panicked; propagate it)
+                let reply = results.recv().expect("sharded engine worker thread died");
+                merged.batches += reply.batches;
+                merged.responses.extend(reply.responses);
+            }
+            merged
+        })
     }
 
     /// Convenience: submits every row of an `[N, C, H, W]` batch and
@@ -390,6 +258,7 @@ impl<B: Backend + Send + 'static> ShardedEngine<B> {
         self.senders.clear(); // Closing the channels ends the worker loops.
         std::mem::take(&mut self.handles)
             .into_iter()
+            // tia-lint: allow(panic-freedom, re-raises a worker's backend panic in the caller)
             .map(|h| h.join().expect("sharded engine worker panicked"))
             .collect()
     }
@@ -404,101 +273,12 @@ impl<B: Backend + Send + 'static> Drop for ShardedEngine<B> {
     }
 }
 
-/// The shard body: receive request lists until the coordinator hangs up,
-/// group/batch/execute each, reply with responses + per-frame costs. Returns
-/// the backend so `shutdown` can hand the replicas back.
-fn worker_loop<B: Backend>(
-    mut backend: B,
-    policy: PrecisionPolicy,
-    mut rng: SeededRng,
-    cfg: EngineConfig,
-    jobs: Receiver<Job>,
-    results: Sender<ShardReply>,
-) -> B {
-    let (max_batch, granularity) = (cfg.max_batch, cfg.granularity);
-    backend.set_kernel(cfg.kernel);
-    // Each shard owns its scratch arena: batch assembly reuses the same
-    // buffers flush after flush with no cross-thread sharing.
-    let mut ws = Workspace::with_max_pooled(cfg.workspace_cap);
-    while let Ok(reqs) = jobs.recv() {
-        let saved = backend.precision();
-        let mut responses = Vec::with_capacity(reqs.len());
-        let mut batches = 0;
-        match granularity {
-            PolicyGranularity::PerBatch => {
-                for chunk in reqs.chunks(max_batch) {
-                    let p = policy.sample(&mut rng);
-                    run_chunk(&mut backend, chunk, p, &mut responses, &mut ws);
-                    batches += 1;
-                }
-            }
-            PolicyGranularity::PerRequest => {
-                // The exact grouping Engine::flush uses — sharing it is what
-                // keeps shard batching identical to single-threaded batching.
-                let groups = crate::engine::group_by_precision(&reqs, |req: &ShardRequest| {
-                    req.precision
-                        .expect("per-request precision assigned at submit")
-                });
-                for (p, members) in groups {
-                    for chunk in members.chunks(max_batch) {
-                        run_chunk(&mut backend, chunk, p, &mut responses, &mut ws);
-                        batches += 1;
-                    }
-                }
-            }
-        }
-        backend.set_precision(saved);
-        // Request images crossed the channel; reclaim their storage for the
-        // shard's next batch tensors.
-        for req in reqs {
-            ws.recycle_tensor(req.image);
-        }
-        if results.send(ShardReply { responses, batches }).is_err() {
-            break; // Coordinator dropped mid-flush; shut down.
-        }
-    }
-    backend
-}
-
-/// Executes one micro-batch on a shard's backend, pricing each request at
-/// its per-frame cost so the coordinator can merge ledgers in id order.
-fn run_chunk<B: Backend, R: std::borrow::Borrow<ShardRequest>>(
-    backend: &mut B,
-    chunk: &[R],
-    p: Option<Precision>,
-    out: &mut Vec<ShardResponse>,
-    ws: &mut Workspace,
-) {
-    if chunk.is_empty() {
-        return;
-    }
-    let s = chunk[0].borrow().image.shape();
-    let shape = [chunk.len(), s[0], s[1], s[2]];
-    let mut x = ws.tensor_spare(&shape);
-    for (i, r) in chunk.iter().enumerate() {
-        x.set_axis0(i, &r.borrow().image);
-    }
-    let logits = backend.infer_batch(&x, p);
-    ws.recycle_tensor(x);
-    let top1 = argmax_rows(&logits);
-    let unit_cost = backend.cost(1, p);
-    for (i, req) in chunk.iter().enumerate() {
-        out.push(ShardResponse {
-            id: req.borrow().id,
-            logits: logits.index_axis0(i),
-            top1: top1[i],
-            precision: p,
-            unit_cost,
-        });
-    }
-    backend.recycle_output(logits);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use tia_nn::zoo;
     use tia_quant::PrecisionSet;
+    use tia_tensor::SeededRng;
 
     fn replica() -> tia_nn::Network {
         let mut rng = SeededRng::new(1);
@@ -625,8 +405,6 @@ mod tests {
         assert!(s.batches >= 1);
         assert_eq!(s.cost.frames, 10);
         assert_eq!(eng.cycles(), 1);
-        eng.reset_stats();
-        assert_eq!(eng.cycles(), 1, "cycles survive reset_stats");
     }
 
     #[test]
@@ -634,27 +412,6 @@ mod tests {
         let eng = sharded(3, 8);
         let replicas = eng.shutdown();
         assert_eq!(replicas.len(), 3);
-    }
-
-    #[test]
-    fn per_batch_granularity_is_reproducible_per_worker_count() {
-        let x = images(8, 9);
-        let run = || {
-            let mut eng = ShardedEngine::with_factory(
-                2,
-                |_| replica(),
-                PrecisionPolicy::Random(PrecisionSet::range(4, 8)),
-                EngineConfig::default()
-                    .with_max_batch(4)
-                    .with_seed(3)
-                    .with_granularity(PolicyGranularity::PerBatch),
-            );
-            eng.serve(&x)
-                .iter()
-                .map(|r| r.precision)
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(run(), run());
     }
 
     #[test]

@@ -76,7 +76,6 @@ use crate::control::{ControlConfig, Controller, CycleSample, Decision};
 use crate::metrics::{HistogramBaseline, Metrics, STAGE_NAMES};
 use crate::trace::{self, Ring, Span, Stage, TraceSink};
 use crate::wire::{Class, Frame, InferResponse, RejectCode, WirePolicy};
-use std::collections::HashMap;
 use std::io;
 use std::net::{Shutdown as SockShutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -84,7 +83,7 @@ use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-use tia_engine::{Backend, EngineConfig, PrecisionPolicy, RequestId, ShardedEngine};
+use tia_engine::{Backend, EngineConfig, PrecisionPolicy, ShardedEngine};
 use tia_quant::PrecisionSet;
 use tia_tensor::{SeededRng, Tensor};
 
@@ -165,7 +164,7 @@ pub struct ServerConfig {
     /// The one `[C, H, W]` geometry this server serves; anything else is
     /// rejected with [`RejectCode::BadShape`].
     pub input_shape: [usize; 3],
-    /// Engine tuning (micro-batch size, seed, granularity, workspace cap).
+    /// Engine tuning (micro-batch size, seed, workspace cap, kernel mode).
     pub engine: EngineConfig,
     /// The serving precision policy ([`WirePolicy::Server`] requests follow
     /// it on the seeded schedule).
@@ -1031,7 +1030,10 @@ fn batcher_loop<B: Backend + Send + 'static>(
         .as_ref()
         .map(|s| s.register("batcher", trace::BATCHER_RING_SLOTS));
     let ring = ring.as_deref();
-    let mut routes: HashMap<RequestId, Route> = HashMap::new();
+    // One route per accepted submit of the running cycle, in submit (=
+    // request-id) order; the cycle's flush answers exactly these ids in the
+    // same order, so responses zip with it.
+    let mut routes: Vec<Route> = Vec::new();
     let mut book = BatchBook {
         last_stats: engine.stats(),
         batches_formed: 0,
@@ -1279,7 +1281,7 @@ fn form_and_run<B: Backend + Send + 'static>(
     shared: &Shared,
     ring: Option<&Ring>,
     req_rng: &mut SeededRng,
-    routes: &mut HashMap<RequestId, Route>,
+    routes: &mut Vec<Route>,
     window: &mut Vec<PendingReq>,
     max_take: usize,
     book: &mut BatchBook,
@@ -1335,24 +1337,21 @@ fn form_and_run<B: Backend + Send + 'static>(
             }
         };
         match submitted {
-            Ok(id) => {
+            Ok(_) => {
                 if let Some(r) = ring {
                     // Stamped at the batch-forming instant the EDF sort ran
                     // at — one clock read covers the whole batch.
                     r.record_at(Stage::EngineSubmit, req.trace, 0, 0, now);
                 }
-                routes.insert(
-                    id,
-                    Route {
-                        conn: req.conn,
-                        wire_id: req.wire_id,
-                        enqueued: req.enqueued,
-                        class: req.class,
-                        trace: req.trace,
-                        window_at: req.window_at,
-                        submitted_at: now,
-                    },
-                );
+                routes.push(Route {
+                    conn: req.conn,
+                    wire_id: req.wire_id,
+                    enqueued: req.enqueued,
+                    class: req.class,
+                    trace: req.trace,
+                    window_at: req.window_at,
+                    submitted_at: now,
+                });
             }
             Err(_) => {
                 // Readers validate geometry up front, so this only
@@ -1441,7 +1440,7 @@ fn flush_and_respond<B: Backend + Send + 'static>(
     engine: &mut ShardedEngine<B>,
     shared: &Shared,
     ring: Option<&Ring>,
-    routes: &mut HashMap<RequestId, Route>,
+    routes: &mut Vec<Route>,
     last_stats: &mut tia_engine::EngineStats,
 ) {
     if engine.pending() == 0 {
@@ -1453,10 +1452,8 @@ fn flush_and_respond<B: Backend + Send + 'static>(
     // The cycle's precision mix, revealed by the flush: bit 0 = fp32,
     // bit `b` = `b`-bit. Carried on the engine_cycle scope event.
     let mut mix = 0u32;
-    for r in responses {
-        let Some(route) = routes.remove(&r.id) else {
-            continue; // unreachable: every submit recorded a route
-        };
+    debug_assert_eq!(responses.len(), routes.len());
+    for (r, route) in responses.into_iter().zip(routes.drain(..)) {
         mix |= 1u32 << r.precision.map_or(0, |p| u32::from(p.bits()));
         if let Some(rg) = ring {
             rg.record_at(Stage::Flushed, route.trace, 0, 0, flushed_at);

@@ -76,8 +76,7 @@ pub mod prelude {
     pub use tia_data::{generate, Dataset, DatasetProfile};
     pub use tia_dataflow::{ArchConfig, Dataflow, EvoSearch, SearchMode, Workload};
     pub use tia_engine::{
-        Backend, BatchCost, Engine, EngineConfig, PolicyGranularity, PrecisionPolicy,
-        ShardedEngine, SimBacked,
+        Backend, BatchCost, Engine, EngineConfig, PrecisionPolicy, ShardedEngine, SimBacked,
     };
     pub use tia_nn::{workload::NetworkSpec, zoo, Mode, Network};
     pub use tia_quant::{Precision, PrecisionSet};

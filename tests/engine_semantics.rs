@@ -259,11 +259,13 @@ fn sharded_serving_is_worker_count_invariant() {
 
 #[test]
 fn sharded_ledger_identical_across_worker_counts() {
-    // The merged cost ledger accumulates per-request unit costs in
-    // request-id order, so cycles/energy/fps are identical — not just
-    // close — for any worker count. The per-shard SimBacked ledgers must
-    // still add up to the merged totals.
-    let set = PrecisionSet::new(&[4, 8]);
+    // The ledger accumulates per-request unit costs in request-id order, so
+    // cycles/energy/fps are identical — not just close — for any worker
+    // count, and to the single-threaded engine's. The per-shard SimBacked
+    // ledgers must still add up to the merged totals.
+    // All five precisions: with fewer distinct unit costs, per-chunk and
+    // per-request sums can agree by chance and hide an order dependence.
+    let set = PrecisionSet::range(4, 8);
     let spec = NetworkSpec::resnet18_cifar();
     let small = EvoSearch {
         population: 8,
@@ -273,16 +275,17 @@ fn sharded_ledger_identical_across_worker_counts() {
     let mut rng = SeededRng::new(22);
     let x = Tensor::rand_uniform(&[12, 3, 8, 8], 0.0, 1.0, &mut rng);
     let cfg = EngineConfig::default().with_max_batch(3).with_seed(44);
+    let replica = || {
+        SimBacked::new(
+            rps_net(23, &set),
+            Accelerator::ours().with_search(small),
+            spec.clone(),
+        )
+    };
     let serve = |workers: usize| {
         let mut engine = ShardedEngine::with_factory(
             workers,
-            |_| {
-                SimBacked::new(
-                    rps_net(23, &set),
-                    Accelerator::ours().with_search(small),
-                    spec.clone(),
-                )
-            },
+            |_| replica(),
             PrecisionPolicy::Random(set.clone()),
             cfg.clone(),
         );
@@ -291,12 +294,20 @@ fn sharded_ledger_identical_across_worker_counts() {
         let shards = engine.shutdown();
         (stats, shards)
     };
-    let (base, _) = serve(1);
+    let mut single = Engine::new(replica(), PrecisionPolicy::Random(set.clone()), cfg.clone());
+    let _ = single.serve(&x);
+    let base = single.stats();
     assert!(base.cost.modeled);
     assert_eq!(base.cost.frames, 12);
-    for workers in [2usize, 8] {
+    for workers in [1usize, 2, 8] {
         let (stats, shards) = serve(workers);
         assert_eq!(stats.requests, base.requests);
+        if workers == 1 {
+            assert_eq!(
+                stats.batches, base.batches,
+                "one shard must batch exactly like the single-threaded engine"
+            );
+        }
         assert_eq!(stats.cost.frames, base.cost.frames);
         assert_eq!(
             stats.cost.cycles.to_bits(),
